@@ -1,7 +1,8 @@
 // Command speedup evaluates the paper's execution speed-up model (§V) for
 // given block parameters: equation (1) for speculative single-transaction
 // concurrency, the pipelined two-phase variant (phases overlapped across
-// blocks, see internal/exec.Pipeline), and equation (2) for group
+// blocks, see internal/exec.Sharded.ExecuteChain on one shard), and
+// equation (2) for group
 // concurrency, across core counts. The optional -groupop flag supplies the
 // group conflict rate measured on the operation-level (delta-refined) TDG,
 // adding an "Eq.(2) op-level" column that shows what commutativity buys —

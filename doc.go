@@ -13,13 +13,13 @@
 // going beyond the paper — working parallel execution engines that validate
 // the model.
 //
-// Six execution engines are implemented — sequential, speculative
-// two-phase, oracle-TDG groups, ordered STM, the multi-version cross-block
-// pipeline (internal/mvstore + internal/exec.Pipeline) whose speed-up is
-// not bounded by a single global commit lock, and a sharded engine
+// Five execution engines are implemented — sequential, speculative
+// two-phase, oracle-TDG groups, ordered STM, and a sharded engine
 // (internal/exec.Sharded) with a deterministic cross-shard commit — plus
-// two layers composed on top of the sharded one: the pipelined sharded
-// chain (Sharded.ExecuteChain) and adaptive conflict-heat shard
+// two layers composed on top of the sharded one: the pipelined chain
+// driver (Sharded.ExecuteChain over internal/mvstore; on a single shard it
+// is the multi-version cross-block pipeline whose speed-up is not bounded
+// by a single global commit lock) and adaptive conflict-heat shard
 // assignment (internal/heat behind core.ShardMap), which learns conflict
 // communities across blocks and migrates them between shards at epoch
 // boundaries.

@@ -1,15 +1,16 @@
 // Pipeline is a walkthrough of the mvstore-backed two-phase pipelined
-// engine: it generates account-model histories, executes each whole chain
-// with exec.Pipeline at several lookahead depths, verifies serial
-// equivalence against a sequential replay, and reports how the pipelined
-// flow-shop schedule compares with the per-block engines and the
-// analytical model.
+// chain driver on a single shard: it generates account-model histories,
+// executes each whole chain with exec.Sharded{Shards: 1}.ExecuteChain at
+// several lookahead depths, verifies serial equivalence against a
+// sequential replay, and reports how the pipelined flow-shop schedule
+// compares with the per-block engines and the analytical model.
 //
 // The interesting number is the re-execution share: every transaction
-// whose phase-1 snapshot went stale (an address also touched by one of the
-// 1–2 blocks committed in between) is repaired serially in phase 2, so
-// workloads with heavy cross-block sender reuse bound the pipeline's win,
-// exactly as core.PipelineSpeedup predicts.
+// whose phase-1 snapshot went stale (an address also touched by a block
+// committed after its snapshot) or that read what an earlier transaction
+// of its block wrote is repaired serially in phase 2. Deeper lookahead
+// pins staler snapshots, so workloads with heavy cross-block sender reuse
+// bound the pipeline's win, exactly as core.PipelineSpeedup predicts.
 package main
 
 import (
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"txconcur/internal/account"
 	"txconcur/internal/bench"
 	"txconcur/internal/chainsim"
 	"txconcur/internal/core"
@@ -50,21 +50,9 @@ func runChain(profile string, blocks, workers int, seed int64) error {
 	if !ok {
 		return fmt.Errorf("unknown profile %q", profile)
 	}
-	g, err := chainsim.NewAcctGen(p, blocks, seed)
+	pre, chain, err := chainsim.GenerateAccountChain(p, blocks, seed)
 	if err != nil {
 		return err
-	}
-	pre := g.Chain().State().Copy()
-	var chain []*account.Block
-	for {
-		blk, _, more, err := g.Next()
-		if err != nil {
-			return err
-		}
-		if !more {
-			break
-		}
-		chain = append(chain, blk)
 	}
 
 	// Ground truth: sequential replay of the same blocks from the same
@@ -90,12 +78,12 @@ func runChain(profile string, blocks, workers int, seed int64) error {
 	seqRoot := seqSt.Root()
 
 	t := bench.Table{
-		Title: fmt.Sprintf("%s: pipelined two-phase engine over %d blocks, %d txs (n = %d)",
+		Title: fmt.Sprintf("%s: pipelined single-shard chain over %d blocks, %d txs (n = %d)",
 			profile, len(chain), seqUnits, workers),
-		Headers: []string{"Depth", "Speed-up", "Gas speed-up", "Reexec", "Mean lag", "Root"},
+		Headers: []string{"Depth", "Speed-up", "Gas speed-up", "Reexec", "Root"},
 	}
 	for _, depth := range []int{1, 2, 4} {
-		res, err := exec.Pipeline{Workers: workers, Depth: depth}.ExecuteChain(pre.Copy(), chain)
+		res, _, err := exec.Sharded{Workers: workers, Shards: 1, Depth: depth}.ExecuteChain(pre.Copy(), chain)
 		if err != nil {
 			return err
 		}
@@ -103,16 +91,11 @@ func runChain(profile string, blocks, workers int, seed int64) error {
 		if res.Root == seqRoot {
 			rootState = "= sequential"
 		}
-		lag := 0
-		for _, bs := range res.Blocks {
-			lag += bs.Lag
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%.2fx", res.Stats.Speedup),
 			fmt.Sprintf("%.2fx", res.Stats.GasSpeedup),
 			fmt.Sprintf("%d/%d", res.Stats.Retries, res.Stats.Txs),
-			fmt.Sprintf("%.2f", float64(lag)/float64(len(res.Blocks))),
 			rootState,
 		})
 	}

@@ -1,9 +1,16 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
+
+	"txconcur/internal/account"
+	"txconcur/internal/exec"
+	"txconcur/internal/types"
 )
 
 // smallRunner returns a runner sized for fast tests.
@@ -373,6 +380,68 @@ func TestOpLevelComparison(t *testing.T) {
 					t.Errorf("%s/%s: op-level %v not strictly above key-level %v", chain, engine, op, key)
 				}
 			}
+		}
+	}
+}
+
+// TestE8PipelineColumnMatchesBaseline recomputes only E8's Pipeline
+// column — the single-shard chain driver, whole chain, key-level and
+// op-level — at the recorded baseline's scale (20 blocks, seed 2020) and
+// compares every cell with docs/bench/E8-baseline.json. The full E8 driver
+// is too slow for the default test run; this keeps the chain driver's
+// schedule pinned to the recorded figures.
+func TestE8PipelineColumnMatchesBaseline(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/bench/E8-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Table
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	for i, h := range base.Headers {
+		if h == "Pipeline" {
+			col = i
+		}
+	}
+	if col < 0 || len(base.Rows) == 0 {
+		t.Fatalf("baseline has no Pipeline column or no rows: %v", base.Headers)
+	}
+	var (
+		profile string
+		pre     *account.StateDB
+		blks    []*account.Block
+		seqRoot types.Hash
+	)
+	for _, row := range base.Rows {
+		n, err := strconv.Atoi(row[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row[0] != profile {
+			// Rows are grouped by profile: generate and replay each chain once.
+			profile = row[0]
+			if pre, blks, err = prepareChain(profile, 20, 2020); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, seqRoot, err = replayChain(profile, pre, blks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var speed [2]float64
+		for mode, op := range []bool{false, true} {
+			cr, _, err := exec.Sharded{Workers: n, Shards: 1, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := verifyChainRoot(fmt.Sprintf("%s op=%v n=%d", profile, op, n), cr.Root, seqRoot); err != nil {
+				t.Fatal(err)
+			}
+			speed[mode] = cr.Stats.Speedup
+		}
+		if got := fmt.Sprintf("%.2fx -> %.2fx", speed[0], speed[1]); got != row[col] {
+			t.Errorf("%s n=%d: Pipeline %s, baseline %s", profile, n, got, row[col])
 		}
 	}
 }

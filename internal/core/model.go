@@ -144,7 +144,8 @@ func GroupSpeedupWithCost(x int, l float64, n int, k float64) (float64, error) {
 }
 
 // PipelineSpeedup models the steady-state throughput of the two-phase
-// pipelined engine (internal/exec.Pipeline): per block, phase 1 executes
+// pipelined chain driver on a single shard
+// (internal/exec.Sharded{Shards: 1}.ExecuteChain): per block, phase 1 executes
 // all x transactions speculatively in ⌈x/n⌉ units on n cores and phase 2
 // re-executes the c·x conflicted ones sequentially; with phase 1 of block
 // b+1 overlapping phase 2 of block b, a long chain completes one block

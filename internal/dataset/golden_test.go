@@ -144,20 +144,15 @@ func TestGoldenTraceEngines(t *testing.T) {
 				}
 			}
 		}
-		pipe, err := exec.Pipeline{Workers: 4, Depth: 2, OpLevel: op, Cost: rc.TxCost}.ExecuteChain(rc.Pre.Copy(), rc.Blocks)
-		if err != nil {
-			t.Fatalf("pipeline op=%v: %v", op, err)
-		}
-		if pipe.Root != seqRoot {
-			t.Fatalf("pipeline op=%v: root diverged", op)
-		}
-		cr, _, err := exec.Sharded{Workers: 4, Shards: 2, OpLevel: op, Depth: 2, Cost: rc.TxCost}.
-			ExecuteChain(rc.Pre.Copy(), rc.Blocks)
-		if err != nil {
-			t.Fatalf("sharded chain op=%v: %v", op, err)
-		}
-		if cr.Root != seqRoot {
-			t.Fatalf("sharded chain op=%v: root diverged", op)
+		for _, shards := range []int{1, 2} {
+			cr, _, err := exec.Sharded{Workers: 4, Shards: shards, OpLevel: op, Depth: 2, Cost: rc.TxCost}.
+				ExecuteChain(rc.Pre.Copy(), rc.Blocks)
+			if err != nil {
+				t.Fatalf("%d-shard chain op=%v: %v", shards, op, err)
+			}
+			if cr.Root != seqRoot {
+				t.Fatalf("%d-shard chain op=%v: root diverged", shards, op)
+			}
 		}
 	}
 }

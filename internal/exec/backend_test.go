@@ -249,8 +249,9 @@ func (e Sharded) withBackend(be StateBackend) Sharded {
 	return e
 }
 
-// TestBoundedPipelineSerialEquivalence: the pipeline engine under the
-// same tiny budget, against the flagship profile set.
+// TestBoundedPipelineSerialEquivalence: the pipeline — the chain driver on
+// a single shard — under the same tiny budget, on one profile and without
+// the -short skip, so the evict-then-read-through path always runs.
 func TestBoundedPipelineSerialEquivalence(t *testing.T) {
 	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardUniformProfile(), 6, 11)
 	if err != nil {
@@ -259,14 +260,14 @@ func TestBoundedPipelineSerialEquivalence(t *testing.T) {
 	seq := testutil.ReplaySequential(t, pre, blocks)
 	for _, op := range []bool{false, true} {
 		bs := boundedStore(t)
-		cr, err := Pipeline{Workers: 8, Depth: 2, OpLevel: op, Backend: bs, CacheBudget: 4}.
+		cr, css, err := Sharded{Workers: 8, Shards: 1, Depth: 2, OpLevel: op, Backend: bs, CacheBudget: 4}.
 			ExecuteChain(pre.Copy(), blocks)
 		if err != nil {
 			t.Fatalf("op=%v: %v", op, err)
 		}
-		seq.RequireChain(t, "pipeline", cr.Root, cr.Receipts)
-		if cr.Evicted == 0 {
-			t.Fatalf("op=%v: pipeline evicted nothing under budget 4", op)
+		seq.RequireChain(t, "single-shard chain", cr.Root, cr.Receipts)
+		if css.Evicted == 0 {
+			t.Fatalf("op=%v: single-shard chain evicted nothing under budget 4", op)
 		}
 		bs.Close()
 	}
@@ -334,19 +335,14 @@ func TestBoundedChainBackendErrorPropagates(t *testing.T) {
 		{"get", func(f *faultyBackend) { f.failGet = boom }},
 		{"apply", func(f *faultyBackend) { f.failApply = boom }},
 	} {
-		fb := newFaultyBackend()
-		tc.set(fb)
-		_, _, err := Sharded{Workers: 4, Shards: 2, Depth: 2, Backend: fb, CacheBudget: 0}.
-			ExecuteChain(pre.Copy(), blocks)
-		if !errors.Is(err, boom) {
-			t.Fatalf("sharded %s fault: err = %v, want the injected failure", tc.name, err)
-		}
-		fb = newFaultyBackend()
-		tc.set(fb)
-		_, err = Pipeline{Workers: 4, Depth: 2, Backend: fb, CacheBudget: 0}.
-			ExecuteChain(pre.Copy(), blocks)
-		if !errors.Is(err, boom) {
-			t.Fatalf("pipeline %s fault: err = %v, want the injected failure", tc.name, err)
+		for _, shards := range []int{1, 2} {
+			fb := newFaultyBackend()
+			tc.set(fb)
+			_, _, err := Sharded{Workers: 4, Shards: shards, Depth: 2, Backend: fb, CacheBudget: 0}.
+				ExecuteChain(pre.Copy(), blocks)
+			if !errors.Is(err, boom) {
+				t.Fatalf("%d-shard %s fault: err = %v, want the injected failure", shards, tc.name, err)
+			}
 		}
 	}
 }

@@ -45,37 +45,6 @@ func ExampleSequential() {
 	// sink balance: 300
 }
 
-// ExamplePipeline_Execute runs one block through the pipelined two-phase
-// engine and checks serial equivalence against the baseline: independent
-// transfers validate on their phase-1 results, so nothing is re-executed.
-func ExamplePipeline_Execute() {
-	st := exampleState()
-	alice := types.AddressFromUint64("example", 1)
-	bob := types.AddressFromUint64("example", 2)
-	blk := &account.Block{
-		Coinbase: types.AddressFromUint64("example", 99),
-		Txs: []*account.Transaction{
-			{From: alice, To: types.AddressFromUint64("example", 3), Value: 7, Nonce: 0, GasLimit: 21000, GasPrice: 1},
-			{From: bob, To: types.AddressFromUint64("example", 4), Value: 9, Nonce: 0, GasLimit: 21000, GasPrice: 1},
-		},
-	}
-	seq, err := exec.Sequential(exampleState(), blk)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	res, err := exec.Pipeline{Workers: 4}.Execute(st, blk)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("root matches sequential:", res.Root == seq.Root)
-	fmt.Println("re-executed:", res.Stats.Retries)
-	// Output:
-	// root matches sequential: true
-	// re-executed: 0
-}
-
 // ExampleSharded partitions state across four committees and executes a
 // block whose transfers cross shard boundaries — the traffic Zilliqa-style
 // sharding forfeits. The deterministic cross-shard commit validates the
@@ -204,10 +173,46 @@ func ExampleSharded_adaptiveMap() {
 	// migrated keys: true
 }
 
+// Pipeline is the pipelined two-phase engine the examples below run: the
+// chain driver on a single shard, as experiments E7, E8 and E12 run it.
+var Pipeline = exec.Sharded{Workers: 4, Shards: 1, Depth: 2}
+
+// ExamplePipeline_Execute runs one block through the single-shard pipeline
+// and checks serial equivalence against the baseline: independent
+// transfers validate on their phase-1 results, so nothing is re-executed.
+func ExamplePipeline_Execute() {
+	st := exampleState()
+	alice := types.AddressFromUint64("example", 1)
+	bob := types.AddressFromUint64("example", 2)
+	blk := &account.Block{
+		Coinbase: types.AddressFromUint64("example", 99),
+		Txs: []*account.Transaction{
+			{From: alice, To: types.AddressFromUint64("example", 3), Value: 7, Nonce: 0, GasLimit: 21000, GasPrice: 1},
+			{From: bob, To: types.AddressFromUint64("example", 4), Value: 9, Nonce: 0, GasLimit: 21000, GasPrice: 1},
+		},
+	}
+	seq, err := exec.Sequential(exampleState(), blk)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := Pipeline.Execute(st, blk)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("root matches sequential:", res.Root == seq.Root)
+	fmt.Println("re-executed:", res.Stats.Retries)
+	// Output:
+	// root matches sequential: true
+	// re-executed: 0
+}
+
 // ExamplePipeline_ExecuteChain pipelines two dependent blocks: the second
-// block spends from the same sender, so its phase-1 run (against a stale
-// snapshot) fails the nonce check and is transparently re-executed in
-// phase 2 — the result still equals the sequential chain.
+// block spends from the same sender, so its phase-1 run, against a
+// snapshot that lags behind block 0's commit, fails the nonce check and is
+// transparently re-executed in block order — the result still equals the
+// sequential chain.
 func ExamplePipeline_ExecuteChain() {
 	alice := types.AddressFromUint64("example", 1)
 	sink := types.AddressFromUint64("example", 9)
@@ -230,7 +235,7 @@ func ExamplePipeline_ExecuteChain() {
 	}
 
 	pipeSt := exampleState()
-	res, err := exec.Pipeline{Workers: 4, Depth: 2}.ExecuteChain(pipeSt, blocks)
+	res, _, err := Pipeline.ExecuteChain(pipeSt, blocks)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -238,8 +243,13 @@ func ExamplePipeline_ExecuteChain() {
 	fmt.Println("blocks:", len(res.Receipts))
 	fmt.Println("root matches sequential:", res.Root == seqSt.Root())
 	fmt.Println("sink balance:", pipeSt.GetBalance(sink))
+	for i, bs := range res.Blocks {
+		fmt.Printf("block %d re-executed: %d of %d\n", i, bs.Reexecuted, bs.Txs)
+	}
 	// Output:
 	// blocks: 2
 	// root matches sequential: true
 	// sink balance: 30
+	// block 0 re-executed: 0 of 1
+	// block 1 re-executed: 1 of 1
 }

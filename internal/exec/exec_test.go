@@ -557,8 +557,8 @@ func TestEnginesRejectZeroWorkers(t *testing.T) {
 	if _, err := (STMExec{}).Execute(st, blk); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("stm: %v", err)
 	}
-	if _, err := (Pipeline{}).Execute(st, blk); !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("pipeline: %v", err)
+	if _, _, err := (Sharded{Shards: 1}).ExecuteChain(st, []*account.Block{blk}); !errors.Is(err, ErrNoWorkers) {
+		t.Fatalf("sharded chain: %v", err)
 	}
 	if _, err := (Sharded{Shards: 2}).Execute(st, blk); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("sharded: %v", err)

@@ -217,18 +217,6 @@ func FuzzEngineSerialEquivalence(f *testing.F) {
 					checkReceipts("sharded/"+mode, shd.Receipts, seqs[i].Receipts)
 				}
 			}
-			// The pipeline over the whole chain.
-			cr, err := Pipeline{Workers: 4, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blocks)
-			if err != nil {
-				t.Fatalf("pipeline/%s: %v", mode, err)
-			}
-			if cr.Root != chainRoot {
-				t.Fatalf("pipeline/%s: chain root mismatch", mode)
-			}
-			for i := range blocks {
-				checkReceipts("pipeline/"+mode, cr.Receipts[i], seqs[i].Receipts)
-			}
-
 			// The pipelined sharded chain, fuzz-chosen shard count and
 			// depth (chain length is fuzz-chosen via split).
 			shards := 1 + int(uint64(seed)%8)

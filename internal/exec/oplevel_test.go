@@ -26,8 +26,12 @@ func runOpLevelEngines(t *testing.T, st *account.StateDB, blk *account.Block, wo
 		"grouped-refined": func(s *account.StateDB, b *account.Block) (*Result, error) {
 			return Grouped{Workers: workers, Refined: true, Receipts: seq.Receipts}.Execute(s, b)
 		},
-		"pipeline-op": func(s *account.StateDB, b *account.Block) (*Result, error) {
-			return Pipeline{Workers: workers, OpLevel: true}.Execute(s, b)
+		"sharded-chain-op": func(s *account.StateDB, b *account.Block) (*Result, error) {
+			cr, _, err := Sharded{Workers: workers, Shards: 1, OpLevel: true}.ExecuteChain(s, []*account.Block{b})
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Receipts: cr.Receipts[0], Root: cr.Root, Stats: cr.Stats}, nil
 		},
 	}
 	for name, run := range engines {
@@ -77,9 +81,9 @@ func TestOpLevelSharedReceiverCommutes(t *testing.T) {
 	if grp.Conflicted != 0 || grp.ParUnits != 1 {
 		t.Fatalf("refined grouped stats = %+v", grp)
 	}
-	pipe := results["pipeline-op"].Stats
+	pipe := results["sharded-chain-op"].Stats
 	if pipe.Retries != 0 {
-		t.Fatalf("op-level pipeline re-executed %d, want 0", pipe.Retries)
+		t.Fatalf("op-level single-shard chain re-executed %d, want 0", pipe.Retries)
 	}
 
 	// Key-level, the same block fully serialises (the paper's §V-A worked
@@ -172,7 +176,7 @@ func TestOpLevelPipelineChain(t *testing.T) {
 	seqRoot := work.Root()
 
 	for _, op := range []bool{false, true} {
-		cr, err := Pipeline{Workers: 8, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blocks)
+		cr, _, err := Sharded{Workers: 8, Shards: 1, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blocks)
 		if err != nil {
 			t.Fatalf("op=%v: %v", op, err)
 		}

@@ -20,20 +20,21 @@ import (
 // core.ShardMap whose baseline is static FNV-1a over the sender address
 // (core.StaticShardMap / core.ShardOf), and whose adaptive variant
 // (internal/heat.AdaptiveMap) learns conflict heat across blocks and
-// rebalances between them — each shard runs
-// its intra-shard sub-block on its own speculative two-phase worker pipeline
-// (the per-shard instance of the Saraph–Herlihy scheme the other engines
-// use), and — unlike Zilliqa — cross-shard transactions are *handled*, by a
-// deterministic two-phase cross-shard commit:
+// rebalances between them — each shard runs its intra-shard sub-block as
+// optimistic execution on its own workers followed by in-order validation
+// (only a transaction that read what an earlier one wrote re-executes, the
+// read-after-write rule), and — unlike Zilliqa — cross-shard transactions
+// are *handled*, by a deterministic two-phase cross-shard commit:
 //
 //   - Phase 1 (parallel, per shard): every transaction executes on a
 //     recording overlay against the pinned pre-block state. Transactions
 //     whose access set stays inside their home shard are committed
-//     shard-locally (winners apply, intra-shard conflicts re-execute in
-//     block order against the shard's staged prefix). Transactions that
-//     touched foreign-shard state — or whose phase-1 access set overlaps an
-//     earlier cross-shard transaction's writes — stage their read/write
-//     sets for phase 2 instead.
+//     shard-locally, in block order: a transaction keeps its phase-1
+//     result unless it read a key an earlier intra-shard transaction
+//     wrote, and otherwise re-executes against the shard's staged prefix.
+//     Transactions that touched foreign-shard state — or whose phase-1
+//     access set overlaps an earlier cross-shard transaction's writes —
+//     stage their read/write sets for phase 2 instead.
 //   - Phase 2 (deterministic, in block order): the cross-shard commit
 //     validates each staged transaction's reads against the per-shard
 //     commits and the earlier cross-shard writes. Runs of clean staged
@@ -62,8 +63,11 @@ type Sharded struct {
 	// the total core budget (all intra-shard work over n cores), so the
 	// reported speed-up never exceeds what n cores could deliver.
 	Workers int
-	// Shards is the committee count s; values below 1 mean 1 (a single
-	// shard degenerates to a speculative two-phase engine).
+	// Shards is the committee count s; values below 1 mean 1. A single
+	// shard never stages a cross-shard transaction: per block it is
+	// optimistic execution plus in-order validation, and its ExecuteChain
+	// is the Octopus-style pipelined chain that experiments E7, E8 and E12
+	// report as "Pipeline".
 	Shards int
 	// OpLevel enables operation-level conflict refinement: balance credits
 	// and debits are recorded as commutative deltas. Deltas merge within a
@@ -80,9 +84,13 @@ type Sharded struct {
 	SequentialMerge bool
 	// Depth is the pipeline lookahead of ExecuteChain in blocks: phase 1
 	// may run up to Depth blocks ahead of the cross-shard commit, against
-	// per-shard snapshots pinned at the deterministic fixed-lag timestamp
-	// (the Pipeline.FixedLag discipline). 0 means 1. Ignored by the
-	// per-block Execute/ExecuteSharded.
+	// per-shard snapshots pinned at a deterministic fixed lag — block i
+	// speculates at timestamp max(0, i−Depth−1), the newest one the
+	// channel backpressure guarantees committed — so re-execution counts
+	// and schedule stats depend only on the workload, never on scheduler
+	// timing. Deeper lookahead buys more overlap at the price of staler
+	// snapshots. 0 means 1. Ignored by the per-block
+	// Execute/ExecuteSharded.
 	Depth int
 	// Map overrides the address→shard assignment. nil means the static
 	// FNV-1a baseline over Shards committees (core.StaticShardMap); when
@@ -452,17 +460,19 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	}
 
 	// Phase 2a: per-shard in-order commit of the intra-shard sub-blocks,
-	// all shards in parallel. Winners (intra transactions that pass the
-	// shard-local symmetric conflict rule) apply their phase-1 overlays in
-	// block order; binned ones re-execute against the shard's staged
-	// prefix. A re-execution that leaves the shard — or fails — is handed
-	// to the cross-shard commit: the shard prefix is not the sequential
-	// prefix, so neither its access set nor its error is authoritative.
+	// all shards in parallel. In block order, an intra transaction keeps its
+	// phase-1 result unless it failed or read a key an earlier intra
+	// transaction of its shard wrote — absolutely or as a delta, whether
+	// that writer kept its phase-1 result or re-executed — and otherwise
+	// re-executes against the shard's staged prefix. Kept results therefore
+	// read exactly the shard prefix, so no winner can go stale. A
+	// re-execution that leaves the shard — or fails — is handed to the
+	// cross-shard commit: the shard prefix is not the sequential prefix, so
+	// neither its access set nor its error is authoritative.
 	type shardOutcome struct {
-		acc      *overlay
-		binned   int
-		gasBin   uint64 // gas of the shard-local sequential re-executions
-		staleMin int    // smallest winner index holding a stale result; -1 if none
+		acc    *overlay
+		binned int
+		gasBin uint64 // gas of the shard-local sequential re-executions
 	}
 	final := make([]*overlay, x) // committed results, by tx index
 	receipts := make([]*account.Receipt, x)
@@ -474,32 +484,20 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	outcomes := make([]shardOutcome, shards)
 	parallelFor(shards, shards, func(sh int) {
 		out := &outcomes[sh]
-		out.staleMin = -1
-		// Shard-local conflict detection over the intra candidates.
-		intra := make([]*overlay, 0, len(sp.byShard[sh]))
-		for _, i := range sp.byShard[sh] {
-			if !cross[i] {
-				intra = append(intra, overlays[i])
-			}
-		}
-		ac := countAccesses(intra)
 		acc := newOverlayOp(base, e.OpLevel)
 		out.acc = acc
-		// p2min[k] is the smallest binned index that wrote k during this
-		// shard's re-executions — the winner-staleness probe of the
-		// speculative scheme, applied per shard.
-		p2min := make(map[StateKey]int)
-		logW := func(o *overlay, i int) {
+		// written holds every key an earlier intra transaction of this shard
+		// wrote: a later phase-1 read of it missed that write.
+		written := make(map[StateKey]struct{})
+		commit := func(i int, o *overlay, rcpt *account.Receipt) {
+			o.applyTo(acc)
+			final[i] = o
+			receipts[i] = rcpt
 			for k := range o.writes {
-				if _, seen := p2min[k]; !seen {
-					p2min[k] = i
-				}
+				written[k] = struct{}{}
 			}
 			for a := range o.deltas {
-				k := deltaKey(a)
-				if _, seen := p2min[k]; !seen {
-					p2min[k] = i
-				}
+				written[deltaKey(a)] = struct{}{}
 			}
 		}
 		for _, i := range sp.byShard[sh] {
@@ -507,10 +505,17 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				continue
 			}
 			o := overlays[i]
-			if !failed[i] && !o.conflicted(ac) {
-				o.applyTo(acc)
-				final[i] = o
-				receipts[i] = p1rcpt[i]
+			ok := !failed[i]
+			if ok {
+				for k := range o.reads {
+					if _, hit := written[k]; hit {
+						ok = false
+						break
+					}
+				}
+			}
+			if ok {
+				commit(i, o, p1rcpt[i])
 				continue
 			}
 			out.binned++
@@ -521,37 +526,8 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				cross[i] = true
 				continue
 			}
-			receipts[i] = rcpt
 			out.gasBin += costOf(e.Cost, blk.Txs[i], rcpt)
-			logW(ro, i)
-			ro.applyTo(acc)
-			final[i] = ro
-		}
-		// Winner staleness: a shard-local bin re-execution may write keys
-		// phase 1 never saw it write; any winner ordered after such a write
-		// holds a stale result. The smallest such winner index bounds the
-		// repair suffix.
-		if len(p2min) > 0 {
-			for _, i := range sp.byShard[sh] {
-				if cross[i] || final[i] == nil || final[i] != overlays[i] {
-					continue
-				}
-				o := overlays[i]
-				isStale := false
-				for k := range o.reads {
-					if j, ok := p2min[k]; ok && j < i {
-						isStale = true
-					}
-				}
-				for k := range o.writes {
-					if j, ok := p2min[k]; ok && j < i {
-						isStale = true
-					}
-				}
-				if isStale && (out.staleMin < 0 || i < out.staleMin) {
-					out.staleMin = i
-				}
-			}
+			commit(i, ro, rcpt)
 		}
 	})
 	// repairFrom is the earliest block position whose committed result is
@@ -561,11 +537,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	bump := func(p int) {
 		if p < repairFrom {
 			repairFrom = p
-		}
-	}
-	for sh := range outcomes {
-		if v := outcomes[sh].staleMin; v >= 0 {
-			bump(v)
 		}
 	}
 

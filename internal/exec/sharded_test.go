@@ -269,9 +269,9 @@ func TestShardedChainReplay(t *testing.T) {
 }
 
 // TestShardedGasAccountsForBins: GasPar must include the shard-local bin's
-// sequential gas, matching the speculative engine's gas model — an earlier
-// version charged only the phase-1 spread and overstated gas speed-ups on
-// conflicted workloads.
+// sequential gas — an earlier version charged only the phase-1 spread and
+// overstated gas speed-ups on conflicted workloads — and must price the
+// in-order schedule exactly.
 func TestShardedGasAccountsForBins(t *testing.T) {
 	hot := types.AddressFromUint64("gasbin/sink", 0)
 	st := account.NewStateDB()
@@ -290,9 +290,10 @@ func TestShardedGasAccountsForBins(t *testing.T) {
 		Coinbase: types.AddressFromUint64("gasbin/miner", 0),
 		Txs:      txs,
 	}
-	// Key-level, one shard: every transaction collides on the hot balance
-	// and re-executes in the shard bin, so the sequential gas term must
-	// push GasPar past the pure phase-1 spread.
+	// Key-level, one shard: every transaction reads and writes the hot
+	// balance, so every one after the first read a key an earlier one wrote
+	// and re-executes in the shard bin; the sequential gas term must push
+	// GasPar past the pure phase-1 spread.
 	res, ss, err := Sharded{Workers: 8, Shards: 1}.ExecuteSharded(st.Copy(), blk)
 	if err != nil {
 		t.Fatal(err)
@@ -305,13 +306,14 @@ func TestShardedGasAccountsForBins(t *testing.T) {
 		t.Fatalf("GasPar %d not above phase-1 spread %d despite %d binned txs",
 			res.Stats.GasPar, spread, res.Stats.Conflicted)
 	}
-	// Same schedule as the speculative engine: gas models must agree.
-	spec, err := Speculative{Workers: 8}.Execute(st.Copy(), blk)
-	if err != nil {
-		t.Fatal(err)
+	// The in-order schedule: the first transaction keeps its phase-1
+	// result, the other x−1 re-execute one after another after the spread.
+	x := len(txs)
+	if res.Stats.Conflicted != x-1 {
+		t.Fatalf("Conflicted = %d, want %d", res.Stats.Conflicted, x-1)
 	}
-	if res.Stats.GasPar != spec.Stats.GasPar {
-		t.Fatalf("single-shard GasPar %d != speculative GasPar %d", res.Stats.GasPar, spec.Stats.GasPar)
+	if want := spread + uint64(x-1)*account.GasTx; res.Stats.GasPar != want {
+		t.Fatalf("GasPar = %d, want ⌈GasSeq/8⌉ + (x−1)·GasTx = %d", res.Stats.GasPar, want)
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // persistent multi-version store; a block commits its writes — partitioned
 // by the engine's shard map — to every shard's store at the next logical
 // timestamp, and phase 1 speculates against per-shard snapshots pinned at
-// the deterministic fixed-lag timestamp (the Pipeline.FixedLag discipline):
-// re-execution counts and ParUnits depend only on the workload, never on
-// scheduler timing.
+// the deterministic fixed-lag timestamp (see Sharded.Depth): re-execution
+// counts and ParUnits depend only on the workload, never on scheduler
+// timing.
 //
 // With an adaptive shard map (core.AdaptiveShardMap + RebalanceEvery > 0)
 // the chain is additionally segmented into epochs. At each epoch boundary
@@ -89,6 +89,89 @@ func (c *ChainShardStats) add(ss *ShardStats) {
 	if ss.Fallback {
 		c.FallbackBlocks++
 	}
+}
+
+// BlockStats describes the chain driver's work on one block.
+type BlockStats struct {
+	// Txs is the number of transactions in the block.
+	Txs int
+	// Reexecuted is how many distinct transactions of the block were
+	// re-executed at least once: stale or conflicting phase-1 reads,
+	// phase-1 envelope failures, cross-shard aborts and repairs alike.
+	Reexecuted int
+}
+
+// ChainResult is the outcome of executing a sequence of blocks through the
+// pipelined chain driver.
+type ChainResult struct {
+	// Receipts holds the per-block, per-transaction receipts in order.
+	Receipts [][]*account.Receipt
+	// Root is the state root after the last block.
+	Root types.Hash
+	// Stats aggregates the whole chain under the paper's unit-cost model;
+	// ParUnits is the two-stage flow-shop makespan (phase 1 of block b+1
+	// overlapping the ordered work of block b).
+	Stats Stats
+	// Blocks holds per-block counters.
+	Blocks []BlockStats
+}
+
+// snapState adapts a multi-version snapshot layered over an immutable base
+// — the pre-chain StateDB, or a backedState reading through the disk base
+// layer first — to the account.State reads. All execution writes go
+// through recording overlays, never through their base, so the mutators
+// panic to surface any violation of that invariant.
+type snapState struct {
+	base baseState
+	snap *mvstore.Snapshot[StateKey, stateVal]
+}
+
+var _ account.State = (*snapState)(nil)
+
+// GetBalance implements vm.State. Balances resolve through the version
+// chain: committed delta versions fold onto the newest absolute version, or
+// onto the base state's balance when the chain holds only deltas.
+func (s *snapState) GetBalance(a types.Address) int64 {
+	k := StateKey{Kind: kindBalance, Addr: a}
+	return s.snap.Resolve(k, stateVal{i64: s.base.GetBalance(a)}).i64
+}
+
+// GetNonce implements account.State.
+func (s *snapState) GetNonce(a types.Address) uint64 {
+	if v, ok := s.snap.Get(StateKey{Kind: kindNonce, Addr: a}); ok {
+		return v.u64
+	}
+	return s.base.GetNonce(a)
+}
+
+// GetCode implements vm.State.
+func (s *snapState) GetCode(a types.Address) []byte {
+	if v, ok := s.snap.Get(StateKey{Kind: kindCode, Addr: a}); ok {
+		return v.bytes
+	}
+	return s.base.GetCode(a)
+}
+
+// GetStorage implements vm.State.
+func (s *snapState) GetStorage(a types.Address, slot uint64) uint64 {
+	if v, ok := s.snap.Get(StateKey{Kind: kindStorage, Addr: a, Slot: slot}); ok {
+		return v.u64
+	}
+	return s.base.GetStorage(a, slot)
+}
+
+// Snapshot implements vm.State; snapshots of an immutable view are free.
+func (s *snapState) Snapshot() int { return 0 }
+
+// RevertToSnapshot implements vm.State; nothing was written, nothing to do.
+func (s *snapState) RevertToSnapshot(int) {}
+
+func (s *snapState) AddBalance(types.Address, int64) { panic("exec: write to mv snapshot") }
+func (s *snapState) SubBalance(types.Address, int64) { panic("exec: write to mv snapshot") }
+func (s *snapState) SetNonce(types.Address, uint64)  { panic("exec: write to mv snapshot") }
+func (s *snapState) SetCode(types.Address, []byte)   { panic("exec: write to mv snapshot") }
+func (s *snapState) SetStorage(types.Address, uint64, uint64) {
+	panic("exec: write to mv snapshot")
 }
 
 // shardedSpecBlock carries one block's phase-1 output from the speculative
@@ -334,7 +417,7 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 			if !ok {
 				return
 			}
-			// Deterministic pessimistic snapshot (Pipeline.FixedLag): when
+			// Deterministic pessimistic snapshot (fixed lag): when
 			// stage 1 starts the epoch's rel-th block it has pushed the
 			// previous rel blocks through a channel of capacity depth, so
 			// stage 2 has received at least rel−depth of them and committed
@@ -468,7 +551,6 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 		c.blockStats = append(c.blockStats, BlockStats{
 			Txs:        x,
 			Reexecuted: out.conflicted,
-			Lag:        int(commitTS-1) - int(specTS),
 		})
 		// Two-stage flow shop: machine 1 is the per-shard speculative
 		// spread (overlappable with the previous block's commit), machine 2
@@ -614,4 +696,72 @@ func (e Sharded) migrateShards(c *shardedChain, moves []core.ShardMove) {
 		c.css.MigrationUnits += mu
 		c.parUnits += mu
 	}
+}
+
+// foldResolvedInto returns a RangeLatestResolved callback that folds a
+// multi-version store's newest values into the given state database.
+// Anchored chains materialise to absolute values; a balance that was only
+// ever delta-written resolves to its accumulated delta, applied on top of
+// the base balance in st. Shared by the chain driver's end-of-chain fold
+// and the checkpoint worker's snapshot materialisation.
+func foldResolvedInto(st *account.StateDB) func(k StateKey, v stateVal, anchored bool) bool {
+	return func(k StateKey, v stateVal, anchored bool) bool {
+		switch {
+		case k.Kind == kindBalance && !anchored:
+			st.AddBalance(k.Addr, v.i64)
+		case k.Kind == kindBalance:
+			st.AddBalance(k.Addr, v.i64-st.GetBalance(k.Addr))
+		case k.Kind == kindNonce:
+			st.SetNonce(k.Addr, v.u64)
+		case k.Kind == kindCode:
+			st.SetCode(k.Addr, v.bytes)
+		case k.Kind == kindStorage:
+			st.SetStorage(k.Addr, k.Slot, v.u64)
+		}
+		return true
+	}
+}
+
+// overlayWrites converts an overlay's buffered values into the
+// multi-version store's write-set representation: absolute values as Put
+// versions, accumulated balance deltas as DeltaAdd versions that merge with
+// — rather than supersede — the chain below them.
+func overlayWrites(o *overlay) map[StateKey]mvstore.Write[stateVal] {
+	w := make(map[StateKey]mvstore.Write[stateVal],
+		len(o.balances)+len(o.deltas)+len(o.nonces)+len(o.codes)+len(o.storage))
+	for a, v := range o.balances {
+		w[StateKey{Kind: kindBalance, Addr: a}] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: stateVal{i64: v}}
+	}
+	for a, d := range o.deltas {
+		w[StateKey{Kind: kindBalance, Addr: a}] = mvstore.Write[stateVal]{Kind: mvstore.DeltaAdd, Val: stateVal{i64: d}}
+	}
+	for a, n := range o.nonces {
+		w[StateKey{Kind: kindNonce, Addr: a}] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: stateVal{u64: n}}
+	}
+	for a, c := range o.codes {
+		w[StateKey{Kind: kindCode, Addr: a}] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: stateVal{bytes: c}}
+	}
+	for sk, v := range o.storage {
+		w[StateKey{Kind: kindStorage, Addr: sk.Addr, Slot: sk.Slot}] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: stateVal{u64: v}}
+	}
+	return w
+}
+
+// flowShopMakespan is the classic two-machine flow-shop completion-time
+// recurrence with a fixed job order: machine 1 (speculative execution)
+// processes blocks back to back; machine 2 (validation/re-execution) starts
+// block b as soon as both machine 1 finished b and machine 2 finished b-1.
+// This is exactly the pipelined chain's schedule length under the paper's
+// unit-cost model (or gas-weighted costs): the ordered work of block b
+// overlaps the speculative execution of block b+1.
+func flowShopMakespan[T int | uint64](p1, p2 []T) T {
+	var c1, c2 T
+	for i := range p1 {
+		c1 += p1[i]
+		if c1 > c2 {
+			c2 = c1
+		}
+		c2 += p2[i]
+	}
+	return c2
 }

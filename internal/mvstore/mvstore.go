@@ -443,16 +443,18 @@ func (sn *Snapshot[K, V]) Release() {
 }
 
 // At returns an unpinned snapshot at ts. The caller must ensure no
-// concurrent TruncateBelow reclaims below ts (e.g. the pipeline's committer
-// reads through At(ts) only for timestamps it has not yet collected).
+// concurrent TruncateBelow reclaims below ts (e.g. the chain driver's
+// committer reads through At(ts) only for timestamps it has not yet
+// collected).
 func (s *Store[K, V]) At(ts uint64) *Snapshot[K, V] {
 	return &Snapshot[K, V]{store: s, ts: ts}
 }
 
 // PinLatest atomically takes the latest committed timestamp and pins it:
 // TruncateBelow will not reclaim any version the returned snapshot can see
-// until Release is called. This is the epoch-entry point of the pipeline's
-// speculative phase.
+// until Release is called. Use it when a reader wants whatever state is
+// newest; a reader whose timestamp must not depend on scheduling pins an
+// explicit one with PinAt.
 func (s *Store[K, V]) PinLatest() *Snapshot[K, V] {
 	s.pinMu.Lock()
 	defer s.pinMu.Unlock()
@@ -465,8 +467,8 @@ func (s *Store[K, V]) PinLatest() *Snapshot[K, V] {
 // collected above ts — a pin only prevents future reclamation, it cannot
 // resurrect versions. Unlike At, the pinned versions survive TruncateBelow
 // until Release. Used when the pinning schedule is decided externally —
-// e.g. the pipeline's deterministic fixed-lag mode, which pins timestamps
-// it has not yet passed to the collector.
+// e.g. the chain driver's deterministic fixed-lag snapshots, which pin
+// timestamps it has not yet passed to the collector.
 func (s *Store[K, V]) PinAt(ts uint64) *Snapshot[K, V] {
 	s.pinMu.Lock()
 	defer s.pinMu.Unlock()
